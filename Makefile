@@ -52,7 +52,8 @@ overload-check:
 	sh scripts/overload-check.sh
 
 # Short fuzz pass over the PIL list invariants (Join window semantics,
-# Merge support conservation, arena/heap join equivalence) and the cluster
+# Merge support conservation, arena/heap join equivalence), the chunked
+# e_m sweep (equal to one chunk and to the per-offset DFS) and the cluster
 # wire-protocol frame decoder. Go allows one -fuzz target per invocation,
 # hence the separate runs.
 FUZZTIME ?= 5s
@@ -61,6 +62,7 @@ fuzz-short:
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoinBitap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzMerge$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoinOracle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/embound/ -run '^$$' -fuzz 'FuzzEmChunks$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 
 # Regenerate every table and figure of the paper (EXPERIMENTS.md).

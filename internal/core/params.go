@@ -156,8 +156,9 @@ type Params struct {
 	StartLen int
 
 	// Workers bounds the number of goroutines used for candidate
-	// counting. Zero or one means sequential. Results are deterministic
-	// for any value.
+	// counting and, in MPPm, for the e_m sweep (one chunk of start
+	// offsets each). Zero or one means sequential. Results are
+	// deterministic for any value.
 	Workers int
 
 	// CandidateBudget caps the total number of candidates the
@@ -172,7 +173,9 @@ type Params struct {
 	// partial result. Zero means unlimited (memory is still tracked, just
 	// not enforced); the budget is checked between levels and between
 	// candidate batches, so a run may transiently overshoot by at most one
-	// batch of slab growth.
+	// batch of slab growth. MPPm's e_m sweep scratch is charged too while
+	// it runs: the sweep splits into fewer chunks to fit, and aborts with
+	// zero completed levels only when one chunk alone does not fit.
 	MemoryBudget int64
 
 	// Mem optionally receives the run's byte charges. The permined server

@@ -19,13 +19,18 @@ import (
 // consults the result cache before mining and stores successes after.
 type Runner func(ctx context.Context, j *Job, s *Shard) (*core.Result, error)
 
-// Hooks observe shard and job transitions. All hooks are optional and are
-// called without any engine or job lock held; the *Shard passed to
-// ShardEnd is terminal, so its getters are safe to read. permined wires
-// them to the WAL (shard checkpoints), the SSE broadcaster and metrics.
+// Hooks observe shard and job transitions. All hooks are optional.
+// ShardRetry and JobEnd are called without any engine or job lock held.
+// ShardEnd is called with the job's lock held, before the shard's
+// terminal state can be observed through Snapshot, so it must not call
+// back into the job; the *Shard passed to it is terminal, so its getters
+// are safe to read. permined wires them to the WAL (shard checkpoints),
+// the SSE broadcaster and metrics.
 type Hooks struct {
 	// ShardEnd fires when a shard reaches done or failed in this process
-	// (replayed shards restored from the journal do not re-fire it).
+	// (replayed shards restored from the journal do not re-fire it). A
+	// checkpoint it journals is durable before any client can see the
+	// shard finished, so a crash after that never loses it.
 	ShardEnd func(j *Job, s *Shard)
 	// ShardRetry fires when a failed attempt is rescheduled: attempt is
 	// the execution that just failed, delay the jittered backoff before
@@ -286,19 +291,19 @@ func (e *Engine) attempt(j *Job, s *Shard) {
 }
 
 // settleLocked handles a shard reaching a terminal state: releases its
-// slot, fires ShardEnd (journal checkpoint, SSE, metrics), refills the
-// pipeline, and finalizes the job when it was the last shard. Caller
-// holds j.mu; settleLocked unlocks it.
+// slot, fires ShardEnd (journal checkpoint, SSE, metrics) before j.mu is
+// released, refills the pipeline, and finalizes the job when it was the
+// last shard. Caller holds j.mu; settleLocked unlocks it.
 func (e *Engine) settleLocked(j *Job, s *Shard) {
 	s.scheduled = false
 	j.inflight--
+	if e.cfg.Hooks.ShardEnd != nil {
+		e.cfg.Hooks.ShardEnd(j, s)
+	}
 	finished := e.finalizeLocked(j)
 	if !finished {
 		e.dispatchLocked(j)
 		j.mu.Unlock()
-	}
-	if e.cfg.Hooks.ShardEnd != nil {
-		e.cfg.Hooks.ShardEnd(j, s)
 	}
 	if finished && e.cfg.Hooks.JobEnd != nil {
 		e.cfg.Hooks.JobEnd(j)

@@ -10,6 +10,7 @@
 package embound
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -21,41 +22,13 @@ import (
 // spaces fall back to a map.
 const maxArrayCodes = 1 << 24
 
-// Em computes e_m = max over all start offsets r of Kr(s, g, m, r).
+// Em computes e_m = max over all start offsets r of Kr(s, g, m, r) on the
+// calling goroutine, tracking no memory: Measure with one worker.
 // m must be >= 1; the cost is O(L · W^m), so keep m modest (the paper uses
 // m = 8 and m = 10 with W = 4).
 func Em(s *seq.Sequence, g combinat.Gap, m int) (int64, error) {
-	if m < 1 {
-		return 0, fmt.Errorf("embound: m=%d must be >= 1", m)
-	}
-	if err := g.Validate(); err != nil {
-		return 0, err
-	}
-	var em int64
-	if float64(m+1)*math.Log2(float64(s.Alphabet().Size())) < 62 {
-		// Suffix-sharing sweep: one right-to-left pass computes every
-		// K_r (see dp.go), far cheaper than per-start DFS on
-		// repetitive data.
-		em = emSweep(s, g, m)
-	} else {
-		k, err := newKounter(s, g, m)
-		if err != nil {
-			return 0, err
-		}
-		for r := 0; r < s.Len(); r++ {
-			if kr := k.kr(r); kr > em {
-				em = kr
-			}
-		}
-	}
-	if em == 0 {
-		// No length-(m+1) offset sequence fits anywhere; the bound
-		// degenerates. Treat as 1 so λ' stays finite and valid
-		// (W^m/e_m >= 1 still holds trivially because no length-(m+1)
-		// pattern occurs at all).
-		em = 1
-	}
-	return em, nil
+	ms, err := Measure(context.Background(), s, g, m, Options{})
+	return ms.Em, err
 }
 
 // Kr computes the paper's K_r for the single start offset r (0-based):
@@ -72,11 +45,7 @@ func Kr(s *seq.Sequence, g combinat.Gap, m, r int) (int64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
-	k, err := newKounter(s, g, m)
-	if err != nil {
-		return 0, err
-	}
-	return k.kr(r), nil
+	return newKounter(s, g, m).kr(r), nil
 }
 
 // kounter carries the scratch state for K_r computation: either a dense
@@ -98,7 +67,7 @@ type denseCell struct {
 	n     int64
 }
 
-func newKounter(s *seq.Sequence, g combinat.Gap, m int) (*kounter, error) {
+func newKounter(s *seq.Sequence, g combinat.Gap, m int) *kounter {
 	k := &kounter{s: s, g: g, m: m, size: uint64(s.Alphabet().Size())}
 	codes := float64(k.size)
 	space := math.Pow(codes, float64(m+1))
@@ -107,7 +76,7 @@ func newKounter(s *seq.Sequence, g combinat.Gap, m int) (*kounter, error) {
 	} else {
 		k.table = make(map[uint64]int64)
 	}
-	return k, nil
+	return k
 }
 
 func (k *kounter) kr(r int) int64 {
@@ -123,6 +92,40 @@ func (k *kounter) kr(r int) int64 {
 		k.walkMap(r, 0, uint64(0))
 	}
 	return k.best
+}
+
+// dfsScratch is a worker's state for emDFS.
+type dfsScratch struct {
+	k       *kounter
+	mapHigh int // largest map size charged so far
+}
+
+// mapEntryBytes approximates the heap cost of one kounter map entry
+// (key, value and bucket overhead) for memory accounting.
+const mapEntryBytes = 32
+
+// emDFS is the per-offset fallback for pattern codes too wide to pack
+// into a uint64: it walks each offset's W^m paths separately, so a
+// chunk needs no overlap. It folds max K_r over r in [a, b) into w.best
+// and reports false when the run stopped first.
+func (w *worker) emDFS(a, b int) bool {
+	r := w.run
+	if w.dfs == nil {
+		w.charge(r.fixedBytes())
+		w.dfs = &dfsScratch{k: newKounter(r.s, r.g, r.m)}
+	}
+	sc := w.dfs
+	for off := a; off < b; off++ {
+		if !w.check() {
+			return false
+		}
+		w.best = max(w.best, sc.k.kr(off))
+		if n := len(sc.k.table); n > sc.mapHigh {
+			w.charge(int64(n-sc.mapHigh) * mapEntryBytes)
+			sc.mapHigh = n
+		}
+	}
+	return true
 }
 
 func (k *kounter) walkDense(pos, depth int, key uint64) {

@@ -3,10 +3,13 @@ package mine_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"permine/internal/combinat"
 	"permine/internal/core"
+	"permine/internal/embound"
 	"permine/internal/gen"
 	"permine/internal/mine"
 	"permine/internal/seq"
@@ -183,4 +186,48 @@ func TestUncancelledRunsUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	comparePatterns(t, "ctx-vs-plain", got.Patterns, want.Patterns, 0, 1<<30)
+}
+
+// TestMPPmCancelInsideEm cancels an MPPm run ~10 ms after it starts, while
+// it is still measuring e_m (m = 10 on 10 kb takes seconds), and asserts
+// the sweep itself notices: the run returns a *core.CancelledError at
+// level StartLen in under half the time the same e_m takes uncancelled.
+func TestMPPmCancelInsideEm(t *testing.T) {
+	s, err := gen.GenomeLike(10_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := combinat.Gap{N: 9, M: 12}
+	const m = 10
+	workers := runtime.NumCPU()
+
+	t0 := time.Now()
+	if _, err := embound.Measure(context.Background(), s, g, m, embound.Options{Workers: workers}); err != nil {
+		t.Fatal(err)
+	}
+	uncancelled := time.Since(t0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := core.Params{Gap: g, MinSupport: 0.00003, EmOrder: m, Workers: workers, Ctx: ctx}
+	t0 = time.Now()
+	timer := time.AfterFunc(10*time.Millisecond, cancel)
+	defer timer.Stop()
+	res, err := mine.MPPm(s, p)
+	took := time.Since(t0)
+	t.Logf("cancelled run returned after %v; uncancelled e_m took %v", took, uncancelled)
+
+	if res != nil {
+		t.Fatalf("got a result despite cancellation: %v", res.Summary())
+	}
+	var ce *core.CancelledError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (%T), want *core.CancelledError wrapping context.Canceled", err, err)
+	}
+	if ce.Level != core.DefaultStartLen {
+		t.Errorf("cancelled at level %d, want StartLen %d (inside e_m)", ce.Level, core.DefaultStartLen)
+	}
+	if took >= uncancelled/2 {
+		t.Errorf("cancelled run took %v, uncancelled e_m %v: the sweep did not stop early", took, uncancelled)
+	}
 }

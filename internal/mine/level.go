@@ -126,15 +126,23 @@ func (r *runner) cancelled(level int, err error) error {
 	return &core.CancelledError{Algorithm: r.res.Algorithm, Level: level, Err: err}
 }
 
+// tracker returns the run's memory tracker: Params.Mem when the caller
+// installed one, else the runner's own.
+func (r *runner) tracker() *pil.MemTracker {
+	if r.mem == nil {
+		r.mem = r.p.Mem
+		if r.mem == nil {
+			r.mem = &r.ownMem
+		}
+	}
+	return r.mem
+}
+
 // initMem wires the runner's memory tracker into its arenas. Must be
 // called after r.arenas is sized and before any level is counted.
 func (r *runner) initMem() {
-	r.mem = r.p.Mem
-	if r.mem == nil {
-		r.mem = &r.ownMem
-	}
 	for i := range r.arenas {
-		r.arenas[i].SetTracker(r.mem)
+		r.arenas[i].SetTracker(r.tracker())
 	}
 }
 

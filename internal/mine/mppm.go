@@ -1,11 +1,14 @@
 package mine
 
 import (
+	"context"
+	"errors"
 	"time"
 
 	"permine/internal/combinat"
 	"permine/internal/core"
 	"permine/internal/embound"
+	"permine/internal/obs"
 	"permine/internal/pil"
 	"permine/internal/seq"
 )
@@ -14,12 +17,20 @@ import (
 // estimate n derived automatically from the e_m bound (Theorem 2 /
 // Equation 5) instead of a user guess. Params.MaxLen is ignored;
 // Params.EmOrder is the paper's m.
+//
+// e_m is measured before any level is mined, swept in Params.Workers
+// parallel chunks under an "embound.em" span, cancellable through
+// Params.Ctx and charged to the run's memory tracker. A cancelled sweep
+// returns a *core.CancelledError at level StartLen; a sweep whose single
+// chunk does not fit Params.MemoryBudget returns a
+// *core.ResourceExhaustedError with an empty partial result.
 func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 	p, err := params.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Context().Err(); err != nil {
+	ctx := p.Context()
+	if err := ctx.Err(); err != nil {
 		return nil, &core.CancelledError{Algorithm: core.AlgoMPPm, Level: p.StartLen, Err: err}
 	}
 	start := time.Now()
@@ -28,8 +39,22 @@ func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		return nil, err
 	}
 
-	em, err := embound.Em(s, p.Gap, p.EmOrder)
+	res := &core.Result{
+		Algorithm: core.AlgoMPPm,
+		Params:    p,
+		SeqName:   s.Name(),
+		SeqLen:    s.Len(),
+		AutoN:     true,
+		EmOrder:   p.EmOrder,
+	}
+	r := &runner{s: s, p: p, counter: counter, res: res}
+
+	em, err := r.measureEm(ctx)
 	if err != nil {
+		var re *core.ResourceExhaustedError
+		if errors.As(err, &re) {
+			return finishLevelRun(res, start, err)
+		}
 		return nil, err
 	}
 
@@ -37,19 +62,8 @@ func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := estimateN(counter, p, start3, em)
-
-	res := &core.Result{
-		Algorithm: core.AlgoMPPm,
-		Params:    p,
-		SeqName:   s.Name(),
-		SeqLen:    s.Len(),
-		N:         n,
-		AutoN:     true,
-		Em:        em,
-		EmOrder:   p.EmOrder,
-	}
-	r := &runner{s: s, p: p, counter: counter, n: n, res: res}
+	r.n = estimateN(counter, p, start3, em)
+	res.N, res.Em = r.n, em
 	r.run(start3)
 	if r.err != nil {
 		return finishLevelRun(res, start, r.err)
@@ -58,6 +72,36 @@ func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 	res.SortPatterns()
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// measureEm measures e_m for the run under an "embound.em" span, with
+// the sweep's scratch charged to the run's tracker and budget, and maps
+// a cancelled or over-budget sweep to the run's typed errors at level
+// StartLen.
+func (r *runner) measureEm(ctx context.Context) (int64, error) {
+	p := r.p
+	ectx, span := obs.Start(ctx, "embound.em")
+	defer span.End()
+	ms, err := embound.Measure(ectx, r.s, p.Gap, p.EmOrder, embound.Options{
+		Workers: p.Workers,
+		Mem:     r.tracker(),
+		Budget:  p.MemoryBudget,
+	})
+	span.SetAttr("m", p.EmOrder)
+	span.SetAttr("workers", r.workers())
+	span.SetAttr("chunks", ms.Chunks)
+	span.SetAttr("e_m", ms.Em)
+	var be *embound.BudgetError
+	switch {
+	case err == nil:
+		return ms.Em, nil
+	case errors.As(err, &be):
+		err = &core.ResourceExhaustedError{Algorithm: core.AlgoMPPm, Level: p.StartLen, Budget: be.Budget, Used: be.Used}
+	case ctx.Err() != nil:
+		err = r.cancelled(p.StartLen, ctx.Err())
+	}
+	span.RecordError(err)
+	return 0, err
 }
 
 // estimateN implements MPPm's automatic choice of n: for every

@@ -76,7 +76,7 @@ func TestClusterDistributedTrace(t *testing.T) {
 	}
 
 	byName := spansByName(t, aSrv.Traces(), reqID,
-		[]string{"http.request", "corpus.job", "corpus.shard", "job.run", "mine.level"})
+		[]string{"http.request", "corpus.job", "corpus.shard", "job.run", "embound.em", "mine.level"})
 
 	// Every span in the assembled trace carries a node attribute, and the
 	// trace covers all three nodes.

@@ -162,6 +162,38 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTraceMPPmEmSpan: an MPPm job's trace carries the e_m measurement as
+// an embound.em child of job.run, ahead of the first mine.level span and
+// annotated with the sweep's order, workers, chunks and result.
+func TestTraceMPPmEmSpan(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	const reqID = "trace-mppm-em-0001"
+	jobID, _ := submitTraced(t, ts.URL, reqID, jobBody(t, "mppm", genomeSeq(t, 400, 7).Data()))
+	if final := pollJob(t, ts.URL, jobID); final["state"] != "done" {
+		t.Fatalf("job state = %v", final["state"])
+	}
+	byName := spansByName(t, srv.Traces(), reqID,
+		[]string{"http.request", "job.submit", "job.queue", "job.run", "job.persist", "embound.em", "mine.level"})
+	run := byName["job.run"][0]
+	em := byName["embound.em"]
+	if len(em) != 1 {
+		t.Fatalf("%d embound.em spans, want 1", len(em))
+	}
+	if em[0].ParentID != run.SpanID {
+		t.Errorf("embound.em parent = %q, want job.run %q", em[0].ParentID, run.SpanID)
+	}
+	for _, key := range []string{"m", "workers", "chunks", "e_m"} {
+		if _, ok := attrValue(em[0], key); !ok {
+			t.Errorf("embound.em span missing attr %q", key)
+		}
+	}
+	for _, lv := range byName["mine.level"] {
+		if lv.Start.Before(em[0].End) {
+			t.Errorf("mine.level span starts at %v, before e_m ends at %v", lv.Start, em[0].End)
+		}
+	}
+}
+
 // TestRequestIDSanitised rejects header values that could corrupt logs or
 // responses, falling back to a generated trace id.
 func TestRequestIDSanitised(t *testing.T) {

@@ -15,8 +15,8 @@
 #   BENCH_COUNT     -count repetitions            (default: 3)
 #
 # The default set covers the hot kernels (PIL join, k-length scan, support
-# counting, e_m measurement, one full mining level, a small end-to-end
-# run) rather than the full paper-reproduction suite, which is slow and
+# counting, e_m measurement on one worker and chunked over every CPU, one
+# full mining level, a small end-to-end run) rather than the full paper-reproduction suite, which is slow and
 # better run explicitly via `make bench`.
 set -eu
 
@@ -53,6 +53,7 @@ BenchmarkPILJoin$       100000x .
 BenchmarkScanK$         500x    .
 BenchmarkSupport$       1000x   .
 BenchmarkEmOrder8$      10x     .
+BenchmarkEmWorkers$     5x      ./internal/embound
 BenchmarkMineLevel$     100x    ./internal/mine
 BenchmarkMineLevelSmallW$ 20x   ./internal/mine
 BenchmarkJoinStrategies$  200x  ./internal/mine
