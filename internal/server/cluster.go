@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"permine/internal/cluster"
@@ -123,16 +122,13 @@ func (s *Server) handleClusterMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, spans, err := s.mineForPeerRequest(r.Context(), req)
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
-		// Backpressure: 429 + Retry-After, so the coordinator retries
-		// elsewhere without dinging this peer's health. Draining (above)
-		// and shutdown keep 503 — this node is going away, not busy.
-		s.rejectBusy(w, err)
-		return
-	case errors.Is(err, ErrShuttingDown):
-		apiError(w, http.StatusServiceUnavailable, "%v", err)
+	algo, seqs, p, err := decodeUnit(req.Algorithm, req.SeqAlphabet, req.SeqSymbols, req.SeqName, req.SeqData, false, req.Params)
+	var res *core.Result
+	var spans []obs.SpanData
+	if err == nil {
+		res, spans, err = s.mgr.MineForPeer(r.Context(), seqs[0], algo, p, RemoteTrace{Job: req.Job, Parent: req.Trace()})
+	}
+	if s.refuse(w, err) {
 		return
 	}
 	resp := cluster.MineResponse{Node: s.nodeID, Spans: spans}
@@ -152,30 +148,6 @@ func (s *Server) handleClusterMine(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-permine-frame")
 	cluster.WriteFrame(w, out)
-}
-
-// mineForPeerRequest rebuilds the subject sequence and parameters from a
-// wire-level MineRequest and hands them to the manager's worker pool.
-func (s *Server) mineForPeerRequest(ctx context.Context, req cluster.MineRequest) (*core.Result, []obs.SpanData, error) {
-	algo, err := core.ParseAlgorithm(strings.ToLower(req.Algorithm))
-	if err != nil {
-		return nil, nil, err
-	}
-	alpha, err := alphabetFor(req.SeqAlphabet, req.SeqSymbols)
-	if err != nil {
-		return nil, nil, err
-	}
-	subject, err := seq.New(alpha, req.SeqName, req.SeqData)
-	if err != nil {
-		return nil, nil, err
-	}
-	var p core.Params
-	if len(req.Params) > 0 {
-		if err := json.Unmarshal(req.Params, &p); err != nil {
-			return nil, nil, fmt.Errorf("decoding params: %w", err)
-		}
-	}
-	return s.mgr.MineForPeer(ctx, subject, algo, p, RemoteTrace{Job: req.Job, Parent: req.Trace()})
 }
 
 // RemoteTrace identifies the coordinator-side trace a forwarded mining
@@ -200,10 +172,7 @@ type RemoteTrace struct {
 // spans (job.run plus its mine.level children) travel back piggybacked on
 // the result frame so the coordinator assembles one cross-node tree.
 func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo core.Algorithm, params core.Params, remote RemoteTrace) (*core.Result, []obs.SpanData, error) {
-	if params.MemoryBudget == 0 {
-		params.MemoryBudget = m.cfg.MemBudget
-	}
-	np, err := params.Normalize()
+	np, err := m.normalize(params)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -231,9 +200,9 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 		return tracer.StartLink(ctx, remote.Parent, "job.run", attrs...)
 	}
 
-	key := KeyFor(subject, algo, np)
+	u := newUnit(algo, subject, np)
 	if m.cfg.Cache != nil {
-		if res, ok := m.cfg.Cache.Get(key); ok {
+		if res, ok := m.cfg.Cache.Get(u.cacheKey); ok {
 			_, span := startRun(rctx, obs.KV("cache_hit", true))
 			span.End()
 			return res, collected(), nil
@@ -257,48 +226,22 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 		stop := context.AfterFunc(rctx, cancel)
 		defer stop()
 		ctx, span := startRun(ctx)
-		defer span.End()
-		if m.cfg.ShardDelay > 0 {
-			select {
-			case <-ctx.Done():
-				span.RecordError(ctx.Err())
-				ch <- reply{nil, ctx.Err()}
-				return
-			case <-time.After(m.cfg.ShardDelay):
-			}
-		}
-		p := np
-		p.Ctx = ctx
-		tracker := m.cfg.Governor.Acquire()
-		defer m.cfg.Governor.Release(tracker)
-		p.Mem = tracker
-		start := time.Now()
-		res, err := runAlgorithm(algo, subject, p)
+		res, err := m.mineLocal(ctx, u, nil)
 		if err != nil {
-			span.RecordError(err)
-			ch <- reply{nil, err}
-			return
+			res = nil
 		}
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.ObserveMining(algo.String(), time.Since(start))
-		}
-		if m.cfg.Cache != nil {
-			m.cfg.Cache.Put(key, res)
-		}
-		ch <- reply{res, nil}
+		// End job.run before the reply: the collected spans ride back on
+		// it, and a span still open then never reaches the coordinator.
+		span.RecordError(err)
+		span.End()
+		ch <- reply{res, err}
 	}
 
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, nil, ErrShuttingDown
-	}
-	select {
-	case m.queue <- task:
-		m.mu.Unlock()
-	default:
-		m.mu.Unlock()
-		return nil, nil, ErrQueueFull
+	err = m.enqueueLocked(task)
+	m.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
 	}
 
 	select {
@@ -311,44 +254,27 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 	}
 }
 
-// mineRequestFor renders a mining unit into its wire form. Params marshal
-// without their runtime-only fields (Ctx, Progress, Hooks are json:"-"),
-// so the receiver re-normalizes a clean copy. The span carried by ctx
-// (job.run for whole jobs, corpus.shard for shards) becomes the remote
-// side's trace parent, and its trace id — which is also the originating
-// X-Request-Id — rides along so both nodes' logs correlate.
-func mineRequestFor(ctx context.Context, id string, algo core.Algorithm, subject *seq.Sequence, p core.Params) (cluster.MineRequest, error) {
-	params, err := json.Marshal(p)
-	if err != nil {
-		return cluster.MineRequest{}, fmt.Errorf("encoding params: %w", err)
-	}
-	req := cluster.MineRequest{
-		Job:         id,
-		Algorithm:   algo.String(),
-		SeqName:     subject.Name(),
-		SeqAlphabet: subject.Alphabet().Name(),
-		SeqSymbols:  string(subject.Alphabet().Symbols()),
-		SeqData:     subject.Data(),
-		Params:      params,
-	}
-	if sc := obs.FromContext(ctx).Context(); sc.Valid() {
-		req.TraceID, req.ParentSpan = sc.TraceID, sc.SpanID
-	}
-	return req, nil
-}
-
 // mineJob runs one whole job's mining, consulting the cluster ring first.
 // Remote mining failures at the transport level (peer suspect, dead, or
 // flaky) degrade to a local run as long as the job context is live — a
 // sick peer costs locality, never the job. Peer-reported mining errors are
-// authoritative: re-running locally would fail identically.
-func (m *Manager) mineJob(ctx context.Context, j *Job, p core.Params) (*core.Result, error) {
+// authoritative: re-running locally would fail identically. A forwarded
+// run's levels replay through progress, so SSE subscribers on this node
+// see the same stream a local run would produce.
+func (m *Manager) mineJob(ctx context.Context, j *Job, progress func(core.LevelMetrics)) (*core.Result, error) {
 	if c := m.cfg.Cluster; c != nil {
 		if pl := c.Place(j.cacheKey.ID.SeqHash[:]); pl.Node != "" {
-			res, err := m.mineJobRemote(ctx, j, p, pl.Node)
+			j.mu.Lock()
+			j.forwarded = true
+			j.note = "forwarded to cluster peer " + pl.Node
+			j.mu.Unlock()
+			res, err := m.mineRemote(ctx, j.id, store.WholeJob, j.unit, pl.Node)
 			var remote *cluster.RemoteError
 			switch {
 			case err == nil:
+				for _, lv := range res.Levels {
+					progress(lv)
+				}
 				return res, nil
 			case errors.As(err, &remote):
 				return nil, err
@@ -360,31 +286,55 @@ func (m *Manager) mineJob(ctx context.Context, j *Job, p core.Params) (*core.Res
 			}
 		}
 	}
-	if err := m.shardDelay(ctx); err != nil {
-		return nil, err
-	}
-	return runAlgorithm(j.algorithm, j.seq, p)
+	return m.mineLocal(ctx, j.unit, progress)
 }
 
-// mineJobRemote forwards a whole job to its ring owner, journals the
-// assignment, and replays the remote result's per-level progress through
-// the job's local progress hook so SSE subscribers on this node see the
-// same stream a local run would produce.
-func (m *Manager) mineJobRemote(ctx context.Context, j *Job, p core.Params, node string) (*core.Result, error) {
-	c := m.cfg.Cluster
-	req, err := mineRequestFor(ctx, j.id, j.algorithm, j.seq, p)
+// mineRemote forwards one mining unit — a whole job (shard
+// store.WholeJob) or one shard of corpus job id — to node. It journals the
+// assignment first, so a restarted coordinator knows where the unit was,
+// and caches the decoded result. Errors return to the caller's policy: a
+// whole job may degrade to a local run, a shard goes back to the corpus
+// engine's retry budget.
+//
+// The wire form carries Params without their runtime-only fields (Ctx,
+// Mem, Progress and Hooks are json:"-"), so the peer re-normalizes a clean
+// copy. The span carried by ctx (job.run for whole jobs, corpus.shard for
+// shards) becomes the peer's trace parent, and its trace id, which is also
+// the originating X-Request-Id, rides along so both nodes' logs correlate.
+func (m *Manager) mineRemote(ctx context.Context, id string, shard int, u unit, node string) (*core.Result, error) {
+	params, err := json.Marshal(u.params)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("encoding params: %w", err)
 	}
-	c.NoteForwardedJob()
-	m.cfg.Store.AppendAssign(j.id, store.AssignRecord{Shard: store.WholeJob, Node: node, At: time.Now()})
-	j.mu.Lock()
-	j.forwarded = true
-	j.note = "forwarded to cluster peer " + node
-	j.mu.Unlock()
+	req := cluster.MineRequest{
+		Job:         id,
+		Algorithm:   u.algorithm.String(),
+		SeqName:     u.seq.Name(),
+		SeqAlphabet: u.seq.Alphabet().Name(),
+		SeqSymbols:  string(u.seq.Alphabet().Symbols()),
+		SeqData:     u.seq.Data(),
+		Params:      params,
+	}
+	if sc := obs.FromContext(ctx).Context(); sc.Valid() {
+		req.TraceID, req.ParentSpan = sc.TraceID, sc.SpanID
+	}
+	c := m.cfg.Cluster
+	if shard == store.WholeJob {
+		c.NoteForwardedJob()
+	} else {
+		c.NoteForwardedShard()
+	}
+	m.cfg.Store.AppendAssign(id, store.AssignRecord{Shard: shard, Node: node, At: time.Now()})
 
 	raw, spans, err := c.MineRemote(ctx, node, req)
-	m.sinkRemoteSpans(spans)
+	// The peer's spans arrive finished and stamped with its node id; the
+	// span sink (the trace ring) makes GET /v1/traces/{id} here return the
+	// assembled cross-node tree.
+	if m.cfg.SpanSink != nil {
+		for _, sd := range spans {
+			m.cfg.SpanSink.ExportSpan(sd)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -392,83 +342,10 @@ func (m *Manager) mineJobRemote(ctx context.Context, j *Job, p core.Params, node
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, fmt.Errorf("decoding remote result: %w", err)
 	}
-	if p.Progress != nil {
-		for _, lv := range res.Levels {
-			p.Progress(lv)
-		}
-	}
 	if m.cfg.Cache != nil {
-		m.cfg.Cache.Put(j.cacheKey, &res)
+		m.cfg.Cache.Put(u.cacheKey, &res)
 	}
 	return &res, nil
-}
-
-// mineShardRemote forwards one corpus shard to node, journaling the
-// assignment first so a coordinator restart knows where the shard was.
-// Errors return to the corpus engine, whose per-shard retry budget and
-// jittered backoff drive the requeue; by the next attempt the health
-// checker has usually excised the dead peer from the ring, so re-placement
-// lands on a survivor.
-func (m *Manager) mineShardRemote(ctx context.Context, j *corpusJobRef, index int, key CacheKey, req cluster.MineRequest, node string, stolen bool) (*core.Result, error) {
-	c := m.cfg.Cluster
-	c.NoteForwardedShard()
-	if stolen {
-		c.NoteShardStolen()
-	}
-	m.cfg.Store.AppendAssign(j.id, store.AssignRecord{Shard: index, Node: node, At: time.Now()})
-
-	raw, spans, err := c.MineRemote(ctx, node, req)
-	m.sinkRemoteSpans(spans)
-	if err != nil {
-		var remote *cluster.RemoteError
-		if !errors.As(err, &remote) && ctx.Err() == nil && !c.Alive(node) {
-			// Transport-level failure against a peer health now rules
-			// unplaceable: this shard is headed back to the queue because
-			// its node died under it.
-			c.NoteShardRequeued()
-		}
-		return nil, err
-	}
-	var res core.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, fmt.Errorf("decoding remote result: %w", err)
-	}
-	if m.cfg.Cache != nil {
-		m.cfg.Cache.Put(key, &res)
-	}
-	return &res, nil
-}
-
-// corpusJobRef is the slice of corpus.Job state mineShardRemote needs —
-// kept narrow so the call site in runShard stays obvious.
-type corpusJobRef struct {
-	id string
-}
-
-// sinkRemoteSpans feeds spans a peer piggybacked on its reply into the
-// coordinator's span sink (the trace ring), so GET /v1/traces/{id} on the
-// coordinator returns the assembled cross-node tree. The spans arrive
-// already finished, already stamped with the remote node's id.
-func (m *Manager) sinkRemoteSpans(spans []obs.SpanData) {
-	if m.cfg.SpanSink == nil {
-		return
-	}
-	for _, sd := range spans {
-		m.cfg.SpanSink.ExportSpan(sd)
-	}
-}
-
-// shardDelay sleeps the configured debug delay, aborting with the context.
-func (m *Manager) shardDelay(ctx context.Context) error {
-	if m.cfg.ShardDelay <= 0 {
-		return nil
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-time.After(m.cfg.ShardDelay):
-		return nil
-	}
 }
 
 // isClosed reports whether Shutdown has begun — used by publishEnd to tell

@@ -336,6 +336,92 @@ func TestClusterForwardedJobShutdownEvent(t *testing.T) {
 	}
 }
 
+// TestClusterObservesEachRunOnce pins where forwarded mining is counted:
+// a whole job and a corpus shard, both ring-owned by the peer, are each
+// one mining run. Summed over both nodes' /v1/metrics, the PIL joins equal
+// the joins in the two results' levels (no run counted nowhere) and the
+// mining-latency histograms hold exactly two observations (no run counted
+// on both the coordinator and the peer).
+func TestClusterObservesEachRunOnce(t *testing.T) {
+	corpustest.CheckLeaks(t)
+
+	_, bTS := newTestServer(t, Config{Workers: 2, ClusterRole: "peer"})
+	aSrv, aTS := newTestServer(t, Config{
+		Workers:          2,
+		ClusterRole:      "coordinator",
+		ClusterPeers:     []string{bTS.URL},
+		ClusterSelf:      "http://coordinator.test",
+		ClusterHeartbeat: 150 * time.Millisecond,
+	})
+	waitReadyz(t, aTS.URL)
+	waitPeersAlive(t, aSrv.clu, bTS.URL)
+	owned := pickOwnedSequences(t, aSrv.clu, 220, 2, bTS.URL)[bTS.URL]
+	jobSeq, shardSeq := owned[0], owned[1]
+
+	resp := postJSON(t, aTS.URL+"/v1/jobs", jobBody(t, "mppm", jobSeq.Data()))
+	sub := decode(t, resp.Body)
+	resp.Body.Close()
+	jobID, _ := sub["id"].(string)
+	if state := pollJob(t, aTS.URL, jobID)["state"]; state != "done" {
+		t.Fatalf("job state = %v, want done", state)
+	}
+	corpusID := submitCorpusHTTP(t, aTS.URL, fastaFor([]*seq.Sequence{shardSeq}))
+	if state := pollCorpus(t, aTS.URL, corpusID)["state"]; state != "done" {
+		t.Fatalf("corpus state = %v, want done", state)
+	}
+	if stats := aSrv.clu.Stats(); stats.ForwardedJobs != 1 || stats.ForwardedShards != 1 {
+		t.Fatalf("forwarded jobs/shards = %d/%d, want 1/1", stats.ForwardedJobs, stats.ForwardedShards)
+	}
+
+	job, _ := aSrv.Manager().Get(jobID)
+	algo, err := core.ParseAlgorithm("mppm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, err := miningParams().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardRes, ok := aSrv.cache.Get(KeyFor(shardSeq, algo, np))
+	if !ok {
+		t.Fatal("forwarded shard result not cached on the coordinator")
+	}
+	joins := func(res *core.Result) int64 {
+		var n int64
+		for _, lm := range res.Levels {
+			n += lm.JoinTwoPointer + lm.JoinCum + lm.JoinBitap
+		}
+		return n
+	}
+	jobJoins, shardJoins := joins(job.Snapshot().Result), joins(shardRes)
+	if jobJoins == 0 || shardJoins == 0 {
+		t.Fatalf("job/shard joins = %d/%d; the check needs both runs to join PILs", jobJoins, shardJoins)
+	}
+
+	var gotJoins, gotRuns int64
+	for _, base := range []string{aTS.URL, bTS.URL} {
+		resp := doRequest(t, http.MethodGet, base+"/v1/metrics")
+		var snap MetricsSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		for _, n := range snap.JoinStrategies {
+			gotJoins += n
+		}
+		for _, h := range snap.Latency {
+			gotRuns += h.Count
+		}
+	}
+	if want := jobJoins + shardJoins; gotJoins != want {
+		t.Errorf("join_strategies_total summed over nodes = %d, want %d (job %d + shard %d)",
+			gotJoins, want, jobJoins, shardJoins)
+	}
+	if gotRuns != 2 {
+		t.Errorf("mining_latency_seconds count summed over nodes = %d, want 2 (one per run)", gotRuns)
+	}
+}
+
 // TestClusterHeartbeatChaos drives the coordinator's health state machine
 // through the deterministic peer-fault injector: dropped heartbeats push a
 // live peer to suspect and then dead, healing brings it back alive, and

@@ -6,12 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"mime"
 	"net/http"
 	"strings"
 	"time"
 
+	"permine/internal/cluster"
 	"permine/internal/core"
 	"permine/internal/corpus"
 	"permine/internal/obs"
@@ -41,10 +40,7 @@ func (m *Manager) SubmitCorpus(rctx context.Context, name string, seqs []*seq.Se
 	_, span := obs.Start(rctx, "corpus.job",
 		obs.KV("algorithm", algo.String()), obs.KV("shards", len(seqs)))
 	defer span.End()
-	if params.MemoryBudget == 0 {
-		params.MemoryBudget = m.cfg.MemBudget
-	}
-	np, err := params.Normalize()
+	np, err := m.normalize(params)
 	if err != nil {
 		span.RecordError(err)
 		return nil, err
@@ -64,21 +60,19 @@ func (m *Manager) SubmitCorpus(rctx context.Context, name string, seqs []*seq.Se
 		span.RecordError(ErrShuttingDown)
 		return nil, ErrShuttingDown
 	}
-	m.nextCorpusID++
-	id := fmt.Sprintf("c-%06d", m.nextCorpusID)
+	id := m.corpora.nextID()
 	span.SetAttr("corpus", id)
 	j, err := corpus.NewJob(corpus.Spec{
 		ID: id, Name: name, Algorithm: algo, Params: np,
 		Seqs: seqs, Ctx: ctx, Cancel: cancel, Trace: span.Context(),
 	})
 	if err != nil {
-		m.nextCorpusID--
 		m.mu.Unlock()
 		cancel()
 		span.RecordError(err)
 		return nil, err
 	}
-	m.registerCorpus(j)
+	m.corpora.add(j)
 	m.mu.Unlock()
 
 	m.cfg.Store.AppendSubmit(corpusRecord(j, timeout))
@@ -96,55 +90,22 @@ func (m *Manager) SubmitCorpus(rctx context.Context, name string, seqs []*seq.Se
 	return j, nil
 }
 
-// registerCorpus indexes the corpus job and prunes old terminal ones
-// beyond the retention bound. Caller holds m.mu.
-func (m *Manager) registerCorpus(j *corpus.Job) {
-	m.corpusJobs[j.ID()] = j
-	m.corpusOrder = append(m.corpusOrder, j.ID())
-	if len(m.corpusJobs) <= m.cfg.Retain {
-		return
-	}
-	kept := m.corpusOrder[:0]
-	for _, id := range m.corpusOrder {
-		old, ok := m.corpusJobs[id]
-		if !ok {
-			continue
-		}
-		if len(m.corpusJobs) > m.cfg.Retain && old.State().Terminal() {
-			delete(m.corpusJobs, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.corpusOrder = kept
-}
-
 // GetCorpus returns the corpus job with the given id.
 func (m *Manager) GetCorpus(id string) (*corpus.Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.corpusJobs[id]
+	j, ok := m.corpora.byID[id]
 	return j, ok
 }
 
 // CorpusJobs returns snapshots of every retained corpus job, newest
 // first, with per-shard detail and results stripped (list view).
 func (m *Manager) CorpusJobs() []corpus.View {
-	m.mu.Lock()
-	ordered := make([]*corpus.Job, 0, len(m.corpusJobs))
-	for i := len(m.corpusOrder) - 1; i >= 0; i-- {
-		if j, ok := m.corpusJobs[m.corpusOrder[i]]; ok {
-			ordered = append(ordered, j)
-		}
-	}
-	m.mu.Unlock()
-	views := make([]corpus.View, len(ordered))
-	for i, j := range ordered {
+	return listNewestFirst(&m.mu, m.corpora, func(j *corpus.Job) corpus.View {
 		v := j.Snapshot()
 		v.Shards, v.Result = nil, nil
-		views[i] = v
-	}
-	return views
+		return v
+	})
 }
 
 // CancelCorpus cancels a running corpus job; in-flight shards stop at the
@@ -170,21 +131,27 @@ func (m *Manager) CancelCorpus(id string) (*corpus.Job, error) {
 // retry budget and backoff requeue the shard — re-placement on the next
 // attempt lands on whatever membership the health checker has left alive.
 func (m *Manager) runShard(ctx context.Context, j *corpus.Job, s *corpus.Shard) (*core.Result, error) {
-	p := j.Params()
-	key := KeyFor(s.Seq(), j.Algorithm(), p)
+	u := newUnit(j.Algorithm(), s.Seq(), j.Params())
 	if m.cfg.Cache != nil {
-		if res, ok := m.cfg.Cache.Get(key); ok {
+		if res, ok := m.cfg.Cache.Get(u.cacheKey); ok {
 			return res, nil
 		}
 	}
 	if c := m.cfg.Cluster; c != nil {
-		pl := c.Place(key.ID.SeqHash[:])
+		pl := c.Place(u.cacheKey.ID.SeqHash[:])
 		if pl.Node != "" {
-			req, err := mineRequestFor(ctx, j.ID(), j.Algorithm(), s.Seq(), p)
-			if err != nil {
-				return nil, err
+			if pl.Stolen {
+				c.NoteShardStolen()
 			}
-			return m.mineShardRemote(ctx, &corpusJobRef{id: j.ID()}, s.Index(), key, req, pl.Node, pl.Stolen)
+			res, err := m.mineRemote(ctx, j.ID(), s.Index(), u, pl.Node)
+			var remote *cluster.RemoteError
+			if err != nil && !errors.As(err, &remote) && ctx.Err() == nil && !c.Alive(pl.Node) {
+				// Transport-level failure against a peer health now rules
+				// unplaceable: this shard is headed back to the queue
+				// because its node died under it.
+				c.NoteShardRequeued()
+			}
+			return res, err
 		}
 		// Local placement still journals the assignment so a restarted
 		// coordinator can tell self-owned checkpoints from orphans.
@@ -192,33 +159,12 @@ func (m *Manager) runShard(ctx context.Context, j *corpus.Job, s *corpus.Shard) 
 			Shard: s.Index(), Node: c.Self(), At: time.Now(),
 		})
 	}
-	if err := m.shardDelay(ctx); err != nil {
-		return nil, err
-	}
-	p.Ctx = ctx
 	// Each shard charges its own child of the governor, bounded by the
 	// job's per-run budget: one poisoned shard (giant PILs under a wide
 	// gap) exhausts its own budget and degrades the corpus to partial
 	// through the normal failed-shard machinery — it cannot take the
 	// whole fleet's memory down with it.
-	tracker := m.cfg.Governor.Acquire()
-	defer m.cfg.Governor.Release(tracker)
-	p.Mem = tracker
-	start := time.Now()
-	res, err := runAlgorithm(j.Algorithm(), s.Seq(), p)
-	if err != nil {
-		return nil, err
-	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.ObserveMining(j.Algorithm().String(), time.Since(start))
-		for _, lm := range res.Levels {
-			m.cfg.Metrics.ObserveLevel(lm)
-		}
-	}
-	if m.cfg.Cache != nil {
-		m.cfg.Cache.Put(key, res)
-	}
-	return res, nil
+	return m.mineLocal(ctx, u, nil)
 }
 
 // onShardEnd journals the shard checkpoint (the resume point a SIGKILL'd
@@ -322,28 +268,12 @@ func corpusRecord(j *corpus.Job, timeout time.Duration) store.JobRecord {
 // canonical FASTA re-splits into identical shards, and journaled shard
 // checkpoints are folded back in so completed shards are not re-mined.
 func (m *Manager) corpusFromRecord(rec store.JobRecord) (*corpus.Job, error) {
-	algo, err := core.ParseAlgorithm(strings.ToLower(rec.Algorithm))
+	algo, seqs, np, err := decodeUnit(rec.Algorithm, rec.SeqAlphabet, rec.SeqSymbols, "", rec.SeqData, true, rec.Params)
 	if err != nil {
 		return nil, err
-	}
-	alpha, err := alphabetFor(rec.SeqAlphabet, rec.SeqSymbols)
-	if err != nil {
-		return nil, err
-	}
-	seqs, err := seq.ReadFASTA(strings.NewReader(rec.SeqData), alpha)
-	if err != nil {
-		return nil, fmt.Errorf("re-splitting corpus: %w", err)
 	}
 	if rec.ShardCount != 0 && len(seqs) != rec.ShardCount {
 		return nil, fmt.Errorf("corpus re-split into %d shards, record says %d", len(seqs), rec.ShardCount)
-	}
-	var params core.Params
-	if err := json.Unmarshal(rec.Params, &params); err != nil {
-		return nil, fmt.Errorf("decoding params: %w", err)
-	}
-	np, err := params.Normalize()
-	if err != nil {
-		return nil, err
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j, err := corpus.NewJob(corpus.Spec{
@@ -402,10 +332,7 @@ func (m *Manager) restoreCorpus(rec store.JobRecord, sum *RestoreSummary) {
 		m.mu.Unlock()
 		return
 	}
-	if n := corpusIDNumber(j.ID()); n > m.nextCorpusID {
-		m.nextCorpusID = n
-	}
-	m.registerCorpus(j)
+	m.corpora.add(j)
 	m.mu.Unlock()
 
 	if j.State().Terminal() {
@@ -461,27 +388,10 @@ func (m *Manager) restoreCorpus(rec store.JobRecord, sum *RestoreSummary) {
 	m.noteRecovered(recoveryRequeued, "")
 	m.cfg.Store.AppendState(j.ID(), string(corpus.StateRunning), attempts, time.Now())
 	delay := m.retryDelay(attempts)
-	time.AfterFunc(delay, func() {
-		m.mu.Lock()
-		closed := m.closed
-		m.mu.Unlock()
-		if closed {
-			return
-		}
-		m.corpus.Start(j)
-	})
+	time.AfterFunc(delay, func() { m.enqueue(func() { m.corpus.Start(j) }) })
 	m.cfg.Logger.Info("resuming interrupted corpus", "corpus", j.ID(),
 		"attempt", attempts, "backoff", delay,
 		"shards_replayed", replayed, "shards_total", rec.ShardCount)
-}
-
-// corpusIDNumber extracts the numeric part of a "c-000042" corpus id.
-func corpusIDNumber(id string) uint64 {
-	var n uint64
-	if _, err := fmt.Sscanf(id, "c-%d", &n); err != nil {
-		return 0
-	}
-	return n
 }
 
 // corpusRequest is the JSON body of POST /v1/corpus: a multi-FASTA
@@ -495,19 +405,10 @@ type corpusRequest struct {
 	TimeoutMS int64      `json:"timeout_ms,omitempty"`
 }
 
-// decodeCorpusRequest parses POST /v1/corpus: a JSON body, or a raw FASTA
-// body (text/x-fasta or text/plain) with parameters in the query string.
-func decodeCorpusRequest(r *http.Request) (corpusRequest, error) {
-	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if ct == "text/x-fasta" || ct == "text/plain" {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			return corpusRequest{}, fmt.Errorf("reading FASTA body: %w", err)
-		}
-		jr, err := jobRequestFromQuery(r, string(body))
-		if err != nil {
-			return corpusRequest{}, err
-		}
+// handleCorpusSubmit implements POST /v1/corpus.
+func (s *Server) handleCorpusSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(r, func(fasta string) (corpusRequest, error) {
+		jr, err := jobRequestFromQuery(r, fasta)
 		return corpusRequest{
 			Name:      r.URL.Query().Get("name"),
 			Algorithm: jr.Algorithm,
@@ -515,20 +416,8 @@ func decodeCorpusRequest(r *http.Request) (corpusRequest, error) {
 			FASTA:     jr.FASTA,
 			Alphabet:  jr.fastaAlphabet,
 			TimeoutMS: jr.TimeoutMS,
-		}, nil
-	}
-	var req corpusRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return corpusRequest{}, fmt.Errorf("decoding JSON body: %w", err)
-	}
-	return req, nil
-}
-
-// handleCorpusSubmit implements POST /v1/corpus.
-func (s *Server) handleCorpusSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeCorpusRequest(r)
+		}, err
+	})
 	if err != nil {
 		if tooLarge(w, err) {
 			return
@@ -536,58 +425,24 @@ func (s *Server) handleCorpusSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Algorithm == "" {
-		req.Algorithm = "mppm"
-	}
-	algo, err := core.ParseAlgorithm(strings.ToLower(req.Algorithm))
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.FASTA == "" {
-		apiError(w, http.StatusBadRequest, "missing fasta: a corpus is a multi-FASTA payload")
-		return
-	}
-	alpha, err := resolveAlphabet(req.Alphabet)
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	seqs, err := seq.ReadFASTA(strings.NewReader(req.FASTA), alpha)
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	params, err := req.Params.toParams()
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "invalid params: %v", err)
-		return
-	}
-	if _, err := params.Normalize(); err != nil {
-		apiError(w, http.StatusBadRequest, "invalid params: %v", err)
-		return
-	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout < 0 {
-		apiError(w, http.StatusBadRequest, "timeout_ms must be >= 0")
-		return
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	job, err := s.mgr.SubmitCorpus(r.Context(), req.Name, seqs, algo, params, timeout)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		s.rejectBusy(w, err)
-		return
-	case errors.Is(err, ErrShuttingDown):
-		apiError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, job.Snapshot())
+	s.submit(w, req.Algorithm, req.Params, req.TimeoutMS, func(algo core.Algorithm, params core.Params, timeout time.Duration) (int, any, error) {
+		if req.FASTA == "" {
+			return 0, nil, errors.New("missing fasta: a corpus is a multi-FASTA payload")
+		}
+		alpha, err := resolveAlphabet(req.Alphabet)
+		if err != nil {
+			return 0, nil, err
+		}
+		seqs, err := seq.ReadFASTA(strings.NewReader(req.FASTA), alpha)
+		if err != nil {
+			return 0, nil, err
+		}
+		job, err := s.mgr.SubmitCorpus(r.Context(), req.Name, seqs, algo, params, timeout)
+		if err != nil {
+			return 0, nil, err
+		}
+		return http.StatusAccepted, job.Snapshot(), nil
+	})
 }
 
 // handleCorpusList implements GET /v1/corpus.
@@ -622,9 +477,8 @@ func (s *Server) handleCorpusCancel(w http.ResponseWriter, r *http.Request) {
 // handleCorpusEvents implements GET /v1/corpus/{id}/events: per-shard
 // completions ("shard"), scheduled retries ("retry") and the terminal
 // "end" as Server-Sent Events. Shards already terminal when the client
-// connects are replayed from the snapshot; live duplicates are dropped by
-// shard index. A daemon shutdown sends a final "shutdown" event before
-// the stream closes.
+// connects are replayed from the snapshot. A daemon shutdown sends a final
+// "shutdown" event before the stream closes.
 func (s *Server) handleCorpusEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.mgr.GetCorpus(id)
@@ -632,62 +486,21 @@ func (s *Server) handleCorpusEvents(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "corpus %q not found", id)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		apiError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	sub := s.events.Subscribe(id)
-	defer sub.Close()
-	snap := job.Snapshot()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	seen := make(map[int]bool, len(snap.Shards))
-	for _, sv := range snap.Shards {
-		if !sv.State.Terminal() {
-			continue
-		}
-		if writeSSE(w, Event{Type: "shard", Job: id, Seq: sv.Index + 1, Data: sv}) != nil {
-			return
-		}
-		seen[sv.Index] = true
-	}
-	if snap.State.Terminal() {
-		end := snap
-		end.Result, end.Shards = nil, nil
-		writeSSE(w, Event{Type: "end", Job: id, Seq: len(seen), Data: end})
-		fl.Flush()
-		return
-	}
-	fl.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, open := <-sub.C:
-			if !open {
-				return
-			}
-			if ev.Type == "shard" {
-				idx := ev.Seq - 1
-				if seen[idx] {
-					continue // already replayed from the snapshot
-				}
-				seen[idx] = true
-			}
-			if writeSSE(w, ev) != nil {
-				return
-			}
-			fl.Flush()
-			if ev.Type == "end" || ev.Type == "shutdown" {
-				return
+	s.streamEvents(w, r, id, "shard", func() []Event {
+		snap := job.Snapshot()
+		var evs []Event
+		for _, sv := range snap.Shards {
+			if sv.State.Terminal() {
+				evs = append(evs, Event{Type: "shard", Job: id, Seq: sv.Index + 1, Data: sv})
 			}
 		}
-	}
+		if snap.State.Terminal() {
+			end := snap
+			end.Result, end.Shards = nil, nil
+			evs = append(evs, Event{Type: "end", Job: id, Seq: len(evs), Data: end})
+		}
+		return evs
+	})
 }
 
 // tooLarge maps a MaxBytesReader overflow to 413 with the limit in the

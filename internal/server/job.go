@@ -43,15 +43,26 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled || s == JobResourceExhausted
 }
 
-// Job is one submitted mining run. All mutable state is guarded by mu;
-// handlers read through Snapshot.
-type Job struct {
-	id        string
+// unit is the paper's unit of work: one run of one algorithm over one
+// sequence with one normalized parameter set, and the cache key the three
+// determine. Whole jobs, corpus shards and peer-forwarded runs are units.
+type unit struct {
 	algorithm core.Algorithm
 	seq       *seq.Sequence
 	params    core.Params
-	timeout   time.Duration
 	cacheKey  CacheKey
+}
+
+func newUnit(algo core.Algorithm, s *seq.Sequence, np core.Params) unit {
+	return unit{algorithm: algo, seq: s, params: np, cacheKey: KeyFor(s, algo, np)}
+}
+
+// Job is one submitted mining run. All mutable state is guarded by mu;
+// handlers read through Snapshot.
+type Job struct {
+	id string
+	unit
+	timeout time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -79,6 +90,10 @@ type Job struct {
 	// cancels a job this node never mined itself.
 	forwarded bool
 	note      string
+	// accepted is the view Submit rendered before a worker could pick the
+	// job up: the submit response reports the state the job was accepted
+	// in, not whatever a worker has made of it since.
+	accepted JobView
 }
 
 // ID returns the job's identifier.
@@ -286,14 +301,10 @@ type Manager struct {
 	wg         sync.WaitGroup
 	corpus     *corpus.Engine
 
-	mu           sync.Mutex
-	jobs         map[string]*Job
-	order        []string // creation order, for retention pruning
-	corpusJobs   map[string]*corpus.Job
-	corpusOrder  []string
-	nextID       uint64
-	nextCorpusID uint64
-	closed       bool
+	mu      sync.Mutex
+	jobs    *jobIndex[*Job]
+	corpora *jobIndex[*corpus.Job]
+	closed  bool
 
 	// OnLevel, when set before any Submit, is invoked after every
 	// completed mining level of every job, from the mining goroutine. It
@@ -311,8 +322,8 @@ func NewManager(cfg ManagerConfig) *Manager {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan func(), cfg.QueueDepth),
-		jobs:       make(map[string]*Job),
-		corpusJobs: make(map[string]*corpus.Job),
+		jobs:       newJobIndex("j", cfg.Retain, func(j *Job) bool { return j.State().Terminal() }),
+		corpora:    newJobIndex("c", cfg.Retain, func(j *corpus.Job) bool { return j.State().Terminal() }),
 	}
 	maxInflight := cfg.CorpusMaxInflight
 	if maxInflight <= 0 {
@@ -324,7 +335,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		RetryBackoff: cfg.ShardRetryBackoff,
 		MaxInflight:  maxInflight,
 		Run:          m.runShard,
-		Enqueue:      m.enqueueShardTask,
+		Enqueue:      m.enqueue,
 		Fault:        cfg.ShardFault,
 		Tracer:       cfg.Tracer,
 		Logger:       cfg.Logger,
@@ -372,10 +383,7 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 	sctx, span := obs.Start(rctx, "job.submit",
 		obs.KV("algorithm", algo.String()), obs.KV("seq_len", s.Len()))
 	defer span.End()
-	if params.MemoryBudget == 0 {
-		params.MemoryBudget = m.cfg.MemBudget
-	}
-	np, err := params.Normalize()
+	np, err := m.normalize(params)
 	if err != nil {
 		span.RecordError(err)
 		return nil, err
@@ -389,11 +397,8 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j := &Job{
-		algorithm: algo,
-		seq:       s,
-		params:    np,
+		unit:      newUnit(algo, s, np),
 		timeout:   timeout,
-		cacheKey:  KeyFor(s, algo, np),
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     JobQueued,
@@ -408,8 +413,7 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 		span.RecordError(ErrShuttingDown)
 		return nil, ErrShuttingDown
 	}
-	m.nextID++
-	j.id = fmt.Sprintf("j-%06d", m.nextID)
+	j.id = m.jobs.nextID()
 	span.SetAttr("job", j.id)
 
 	if m.cfg.Cache != nil {
@@ -435,7 +439,8 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 			}
 			now := time.Now()
 			j.startedAt, j.finishedAt = now, now
-			m.register(j)
+			j.accepted = j.Snapshot()
+			m.jobs.add(j)
 			rec := recordForJob(j)
 			m.mu.Unlock()
 			cancel()
@@ -459,75 +464,50 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 	}
 
 	// Render the durable record before a worker can touch the job; it is
-	// journaled after the enqueue so ErrQueueFull leaves no trace. A crash
-	// in between re-runs at most this one job's already-finished work (the
-	// replay ignores out-of-order transitions for unknown jobs).
+	// journaled after the enqueue so ErrQueueFull leaves no trace. The run
+	// waits for it: the replay drops transitions of jobs it holds no
+	// record for, so "running" must not reach the journal first.
 	rec := recordForJob(j)
+	j.accepted = j.Snapshot()
 	_, j.queueSpan = obs.Start(sctx, "job.queue", obs.KV("job", j.id))
-	select {
-	case m.queue <- func() { m.runJob(j) }:
-	default:
+	journaled := make(chan struct{})
+	if err := m.enqueueLocked(func() { <-journaled; m.runJob(j) }); err != nil {
 		m.mu.Unlock()
 		cancel()
-		j.queueSpan.RecordError(ErrQueueFull)
+		j.queueSpan.RecordError(err)
 		j.queueSpan.End()
-		span.RecordError(ErrQueueFull)
-		return nil, ErrQueueFull
+		span.RecordError(err)
+		return nil, err
 	}
-	m.register(j)
+	m.jobs.add(j)
 	m.mu.Unlock()
 	m.cfg.Store.AppendSubmit(rec)
+	close(journaled)
 	m.transition(j, "", JobQueued)
 	m.cfg.Logger.Info("job queued", "job", j.id, "algorithm", algo.String(), "seq_len", s.Len())
 	return j, nil
 }
 
-// register indexes the job and prunes old terminal jobs beyond the
-// retention bound. Caller holds m.mu.
-func (m *Manager) register(j *Job) {
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
-	if len(m.jobs) <= m.cfg.Retain {
-		return
+// normalize applies the manager's default memory budget to params that
+// carry none, then validates them and fills the library defaults.
+func (m *Manager) normalize(p core.Params) (core.Params, error) {
+	if p.MemoryBudget == 0 {
+		p.MemoryBudget = m.cfg.MemBudget
 	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		old, ok := m.jobs[id]
-		if !ok {
-			continue
-		}
-		if len(m.jobs) > m.cfg.Retain && old.State().Terminal() {
-			delete(m.jobs, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.order = kept
+	return p.Normalize()
 }
 
 // Get returns the job with the given id.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.jobs.byID[id]
 	return j, ok
 }
 
 // Jobs returns snapshots of every retained job, newest first.
 func (m *Manager) Jobs() []JobView {
-	m.mu.Lock()
-	ordered := make([]*Job, 0, len(m.jobs))
-	for i := len(m.order) - 1; i >= 0; i-- {
-		if j, ok := m.jobs[m.order[i]]; ok {
-			ordered = append(ordered, j)
-		}
-	}
-	m.mu.Unlock()
-	views := make([]JobView, len(ordered))
-	for i, j := range ordered {
-		views[i] = j.Snapshot()
-	}
-	return views
+	return listNewestFirst(&m.mu, m.jobs, (*Job).Snapshot)
 }
 
 // Cancel cancels a queued or running job. The job flips to cancelled
@@ -596,23 +576,31 @@ func (m *Manager) worker() {
 	}
 }
 
-// enqueueShardTask schedules one corpus shard attempt on the worker pool.
-// It never blocks the corpus engine: a full queue retries shortly (shard
-// attempts, unlike submits, must not be rejected — admission control
-// happened at corpus submit), and a closed manager drops the task (the
-// journal still has the corpus job running, so the next boot resumes it).
-func (m *Manager) enqueueShardTask(task func()) {
-	m.mu.Lock()
+// enqueueLocked offers a task to the worker pool without blocking: a full
+// queue is ErrQueueFull, a closed manager ErrShuttingDown. Caller holds
+// m.mu, which orders the send before Shutdown closes the queue.
+func (m *Manager) enqueueLocked(task func()) error {
 	if m.closed {
-		m.mu.Unlock()
-		return
+		return ErrShuttingDown
 	}
 	select {
 	case m.queue <- task:
-		m.mu.Unlock()
+		return nil
 	default:
-		m.mu.Unlock()
-		time.AfterFunc(25*time.Millisecond, func() { m.enqueueShardTask(task) })
+		return ErrQueueFull
+	}
+}
+
+// enqueue schedules work that admission control already accepted (corpus
+// shard attempts, recovered jobs and corpus resumes) on the worker pool. It never blocks: a
+// full queue retries shortly, and a closed manager drops the task (the
+// journal still has its owner unfinished, so the next boot resumes it).
+func (m *Manager) enqueue(task func()) {
+	m.mu.Lock()
+	err := m.enqueueLocked(task)
+	m.mu.Unlock()
+	if errors.Is(err, ErrQueueFull) {
+		time.AfterFunc(25*time.Millisecond, func() { m.enqueue(task) })
 	}
 }
 
@@ -643,19 +631,8 @@ func (m *Manager) runJob(j *Job) {
 	// nest under it.
 	runCtx, runSpan := m.cfg.Tracer.StartLink(ctx, j.trace, "job.run",
 		obs.KV("job", j.id), obs.KV("algorithm", j.algorithm.String()))
-	p := j.params
-	p.Ctx = runCtx
-	// The per-job tracker chains to the governor's global gauge: every
-	// worker's slab growth feeds one shared high-water mark, and Release
-	// returns the run's retained bytes once the run is over.
-	tracker := m.cfg.Governor.Acquire()
-	defer m.cfg.Governor.Release(tracker)
-	p.Mem = tracker
-	p.Progress = func(lm core.LevelMetrics) {
+	progress := func(lm core.LevelMetrics) {
 		seq := j.addLevel(lm)
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.ObserveLevel(lm)
-		}
 		if m.cfg.Events != nil {
 			m.cfg.Events.Publish(Event{Type: "level", Job: j.id, Seq: seq, Data: lm})
 		}
@@ -665,7 +642,7 @@ func (m *Manager) runJob(j *Job) {
 	}
 
 	start := time.Now()
-	res, err := m.mineJob(runCtx, j, p)
+	res, err := m.mineJob(runCtx, j, progress)
 	elapsed := time.Since(start)
 
 	j.mu.Lock()
@@ -678,26 +655,27 @@ func (m *Manager) runJob(j *Job) {
 		return
 	}
 	j.finishedAt = time.Now()
-	var final JobState
-	var exhausted *core.ResourceExhaustedError
-	switch {
-	case err == nil:
-		final, j.result = JobDone, res
-	case res != nil && errors.As(err, &exhausted):
+	final := runState(res, err)
+	switch final {
+	case JobDone:
+		j.result = res
+		if err != nil {
+			j.note = "candidate budget exhausted; completed levels only"
+		}
+	case JobResourceExhausted:
 		// Memory budget abort: a distinct terminal state carrying the
 		// completed-levels partial result, excluded from the cache.
-		final, j.result, j.err = JobResourceExhausted, res, err
+		var exhausted *core.ResourceExhaustedError
+		errors.As(err, &exhausted)
+		j.result, j.err = res, err
 		j.note = fmt.Sprintf("memory budget exhausted at level %d; completed levels only", exhausted.Level)
-	case res != nil && errors.Is(err, core.ErrBudgetExceeded):
-		// The enumeration baseline reports a valid truncated result.
-		final, j.result = JobDone, res
-		j.note = "candidate budget exhausted; completed levels only"
-	case errors.Is(err, context.Canceled):
-		final, j.err = JobCancelled, err
-	case errors.Is(err, context.DeadlineExceeded):
-		final, j.err = JobFailed, fmt.Errorf("job timeout %v exceeded: %w", j.timeout, err)
+	case JobFailed:
+		j.err = err
+		if errors.Is(err, context.DeadlineExceeded) {
+			j.err = fmt.Errorf("job timeout %v exceeded: %w", j.timeout, err)
+		}
 	default:
-		final, j.err = JobFailed, err
+		j.err = err
 	}
 	j.state = final
 	out := store.Outcome{State: string(final), Note: j.note, FinishedAt: j.finishedAt}
@@ -708,6 +686,11 @@ func (m *Manager) runJob(j *Job) {
 		out.Error = j.err.Error()
 	}
 	finalErr := j.err
+	// Journal before j.mu is released, so whoever sees the terminal state
+	// (State, Snapshot, Cancel) also sees it durable.
+	_, persistSpan := obs.Start(runCtx, "job.persist", obs.KV("job", j.id))
+	m.cfg.Store.AppendOutcome(j.id, out)
+	persistSpan.End()
 	j.mu.Unlock()
 
 	runSpan.SetAttr("state", string(final))
@@ -716,25 +699,71 @@ func (m *Manager) runJob(j *Job) {
 		runSpan.SetAttr("levels", len(res.Levels))
 	}
 	runSpan.RecordError(finalErr)
-	_, persistSpan := obs.Start(runCtx, "job.persist", obs.KV("job", j.id))
-	m.cfg.Store.AppendOutcome(j.id, out)
-	persistSpan.End()
 	runSpan.End()
 	m.transition(nil, JobRunning, final)
-	if m.cfg.Metrics != nil && (final == JobDone || final == JobFailed) {
-		m.cfg.Metrics.ObserveMining(j.algorithm.String(), elapsed)
-	}
-	if final == JobDone && m.cfg.Cache != nil {
-		m.cfg.Cache.Put(j.cacheKey, j.result)
-	}
 	m.publishEnd(j)
 	m.cfg.Logger.Info("job finished", "job", j.id, "state", string(final), "elapsed", elapsed)
 }
 
-// runAlgorithm dispatches through the query layer, which handles plain,
-// top-K and targeted (motif) jobs uniformly.
-func runAlgorithm(algo core.Algorithm, s *seq.Sequence, p core.Params) (*core.Result, error) {
-	return query.Mine(algo, s, p)
+// runState is the terminal state a run that returned (res, err) ends in.
+// A memory-budget abort and the enumeration baseline's candidate-budget
+// stop both return the completed levels; only the latter counts as done.
+func runState(res *core.Result, err error) JobState {
+	var exhausted *core.ResourceExhaustedError
+	switch {
+	case err == nil:
+		return JobDone
+	case res != nil && errors.As(err, &exhausted):
+		return JobResourceExhausted
+	case res != nil && errors.Is(err, core.ErrBudgetExceeded):
+		return JobDone
+	case errors.Is(err, context.Canceled):
+		return JobCancelled
+	default:
+		return JobFailed
+	}
+}
+
+// mineLocal runs one mining unit on this node; whole jobs, corpus shards
+// and runs forwarded by a peer all mine through it. It charges the run to
+// the governor, counts each level's joins as the level completes, then
+// hands the level to progress (nil for none), records the latency of runs
+// that end done or failed, and caches done results. A run is observed
+// once, by the node that mines it: forwarders observe nothing.
+func (m *Manager) mineLocal(ctx context.Context, u unit, progress func(core.LevelMetrics)) (*core.Result, error) {
+	if m.cfg.ShardDelay > 0 {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(m.cfg.ShardDelay):
+		}
+	}
+	p := u.params
+	p.Ctx = ctx
+	// The run's tracker chains to the governor's global gauge: every
+	// worker's slab growth feeds one shared high-water mark, and Release
+	// returns the run's retained bytes once the run is over.
+	tracker := m.cfg.Governor.Acquire()
+	defer m.cfg.Governor.Release(tracker)
+	p.Mem = tracker
+	p.Progress = func(lm core.LevelMetrics) {
+		if m.cfg.Metrics != nil {
+			m.cfg.Metrics.ObserveLevel(lm)
+		}
+		if progress != nil {
+			progress(lm)
+		}
+	}
+	start := time.Now()
+	res, err := query.Mine(u.algorithm, u.seq, p)
+	state := runState(res, err)
+	if m.cfg.Metrics != nil && (state == JobDone || state == JobFailed) {
+		m.cfg.Metrics.ObserveMining(u.algorithm.String(), time.Since(start))
+	}
+	if state == JobDone && m.cfg.Cache != nil {
+		m.cfg.Cache.Put(u.cacheKey, res)
+	}
+	return res, err
 }
 
 // transition forwards a state change to metrics (j reserved for future

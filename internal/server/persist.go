@@ -72,6 +72,42 @@ func alphabetFor(name, symbols string) (*seq.Alphabet, error) {
 	return seq.NewAlphabet(name, symbols)
 }
 
+// decodeUnit rebuilds a mining unit's inputs from their journaled or wire
+// form: the algorithm name, the recorded alphabet, the subject data and the
+// Params JSON (empty decodes as zero Params), normalized. The data is one
+// sequence named name, or, when fasta is set, a corpus's canonical
+// multi-FASTA rendering split back into its shards.
+func decodeUnit(algorithm, alphabet, symbols, name, data string, fasta bool, params []byte) (core.Algorithm, []*seq.Sequence, core.Params, error) {
+	var np core.Params
+	algo, err := core.ParseAlgorithm(strings.ToLower(algorithm))
+	if err != nil {
+		return algo, nil, np, err
+	}
+	alpha, err := alphabetFor(alphabet, symbols)
+	if err != nil {
+		return algo, nil, np, err
+	}
+	var seqs []*seq.Sequence
+	if fasta {
+		if seqs, err = seq.ReadFASTA(strings.NewReader(data), alpha); err != nil {
+			return algo, nil, np, fmt.Errorf("re-splitting corpus: %w", err)
+		}
+	} else {
+		s, err := seq.New(alpha, name, data)
+		if err != nil {
+			return algo, nil, np, err
+		}
+		seqs = []*seq.Sequence{s}
+	}
+	if len(params) > 0 {
+		if err := json.Unmarshal(params, &np); err != nil {
+			return algo, nil, np, fmt.Errorf("decoding params: %w", err)
+		}
+	}
+	np, err = np.Normalize()
+	return algo, seqs, np, err
+}
+
 // jobFromRecord reconstructs a Job (including its cache key and a live
 // context rooted at the manager) from its durable record.
 func (m *Manager) jobFromRecord(rec store.JobRecord) (*Job, error) {
@@ -81,34 +117,15 @@ func (m *Manager) jobFromRecord(rec store.JobRecord) (*Job, error) {
 	default:
 		return nil, fmt.Errorf("unknown job state %q", rec.State)
 	}
-	algo, err := core.ParseAlgorithm(strings.ToLower(rec.Algorithm))
-	if err != nil {
-		return nil, err
-	}
-	alpha, err := alphabetFor(rec.SeqAlphabet, rec.SeqSymbols)
-	if err != nil {
-		return nil, err
-	}
-	s, err := seq.New(alpha, rec.SeqName, rec.SeqData)
-	if err != nil {
-		return nil, err
-	}
-	var params core.Params
-	if err := json.Unmarshal(rec.Params, &params); err != nil {
-		return nil, fmt.Errorf("decoding params: %w", err)
-	}
-	np, err := params.Normalize()
+	algo, seqs, np, err := decodeUnit(rec.Algorithm, rec.SeqAlphabet, rec.SeqSymbols, rec.SeqName, rec.SeqData, false, rec.Params)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j := &Job{
 		id:         rec.ID,
-		algorithm:  algo,
-		seq:        s,
-		params:     np,
+		unit:       newUnit(algo, seqs[0], np),
 		timeout:    time.Duration(rec.TimeoutMS) * time.Millisecond,
-		cacheKey:   KeyFor(s, algo, np),
 		ctx:        ctx,
 		cancel:     cancel,
 		state:      state,
@@ -184,10 +201,7 @@ func (m *Manager) Restore(records []store.JobRecord) RestoreSummary {
 			j.cancel()
 			break
 		}
-		if n := idNumber(j.id); n > m.nextID {
-			m.nextID = n
-		}
-		m.register(j)
+		m.jobs.add(j)
 		m.mu.Unlock()
 
 		switch {
@@ -224,7 +238,7 @@ func (m *Manager) Restore(records []store.JobRecord) RestoreSummary {
 			m.noteRecovered(recoveryRequeued, JobQueued)
 			m.cfg.Store.AppendState(j.id, string(JobQueued), attempts, time.Now())
 			delay := m.retryDelay(attempts)
-			m.scheduleRequeue(j, delay)
+			time.AfterFunc(delay, func() { m.enqueue(func() { m.runJob(j) }) })
 			m.cfg.Logger.Info("requeueing interrupted job", "job", j.id,
 				"attempt", attempts, "backoff", delay)
 		}
@@ -252,39 +266,9 @@ func (m *Manager) retryDelay(attempts int) time.Duration {
 	return half + time.Duration(rand.Int64N(int64(half)))
 }
 
-// scheduleRequeue enqueues the job after the delay, retrying while the
-// queue is full and giving up silently once the manager shuts down (the
-// journal still records the job as queued, so the next boot retries it).
-func (m *Manager) scheduleRequeue(j *Job, delay time.Duration) {
-	time.AfterFunc(delay, func() {
-		m.mu.Lock()
-		if m.closed || j.State().Terminal() { // shut down, or cancelled while waiting
-			m.mu.Unlock()
-			return
-		}
-		select {
-		case m.queue <- func() { m.runJob(j) }:
-			m.mu.Unlock()
-		default:
-			m.mu.Unlock()
-			m.scheduleRequeue(j, delay)
-		}
-	})
-}
-
 // noteRecovered forwards one recovery outcome to metrics.
 func (m *Manager) noteRecovered(outcome string, state JobState) {
 	if m.cfg.Metrics != nil {
 		m.cfg.Metrics.JobRecovered(state, outcome)
 	}
-}
-
-// idNumber extracts the numeric part of a "j-000042" job id (0 when the
-// id does not match), so Restore can keep new ids above recovered ones.
-func idNumber(id string) uint64 {
-	var n uint64
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err != nil {
-		return 0
-	}
-	return n
 }

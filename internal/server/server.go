@@ -506,18 +506,27 @@ func routeLabel(r *http.Request) string {
 	return r.Method + " " + path
 }
 
-// rejectBusy writes the 429 rejection shared by queue-full and
-// governor-shed submits: a Retry-After header derived from queue depth and
-// retry backoff, so well-behaved clients back off instead of hammering.
-// Draining and degraded-store rejections stay 503 — shed means "try again
-// here soon", shutdown means "go elsewhere".
-func (s *Server) rejectBusy(w http.ResponseWriter, err error) {
-	secs := int(s.mgr.RetryAfterHint() / time.Second)
-	if secs < 1 {
-		secs = 1
+// refuse writes the rejection of work the manager would not take, shared
+// by job and corpus submits and forwarded peer runs, and reports whether
+// err was one. Queue-full and governor-shed work gets 429 with a
+// Retry-After header derived from queue depth and retry backoff, so
+// well-behaved clients back off instead of hammering; shutdown gets 503.
+// Shed means "try again here soon", shutdown means "go elsewhere".
+func (s *Server) refuse(w http.ResponseWriter, err error) bool {
+	switch {
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
+		secs := int(s.mgr.RetryAfterHint() / time.Second)
+		if secs < 1 {
+			secs = 1
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		apiError(w, http.StatusTooManyRequests, "%v; retry after %ds", err, secs)
+	case errors.Is(err, ErrShuttingDown):
+		apiError(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		return false
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	apiError(w, http.StatusTooManyRequests, "%v; retry after %ds", err, secs)
+	return true
 }
 
 // apiError writes a JSON error body with the given status.
@@ -659,23 +668,23 @@ func sequenceFrom(inline *seqJSON, fasta, alphabet string) (*seq.Sequence, error
 	}
 }
 
-// decodeJobRequest parses POST /v1/jobs: a JSON body, or a raw FASTA body
-// (Content-Type text/x-fasta or text/plain) with mining parameters in the
-// query string.
-func decodeJobRequest(r *http.Request) (jobRequest, error) {
+// decodeRequest parses the body of a submit: JSON into T, or, for a raw
+// FASTA body (Content-Type text/x-fasta or text/plain), fromQuery builds T
+// from the FASTA text and the mining parameters in the query string.
+func decodeRequest[T any](r *http.Request, fromQuery func(fasta string) (T, error)) (T, error) {
+	var req T
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if ct == "text/x-fasta" || ct == "text/plain" {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			return jobRequest{}, fmt.Errorf("reading FASTA body: %w", err)
+			return req, fmt.Errorf("reading FASTA body: %w", err)
 		}
-		return jobRequestFromQuery(r, string(body))
+		return fromQuery(string(body))
 	}
-	var req jobRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return jobRequest{}, fmt.Errorf("decoding JSON body: %w", err)
+		return req, fmt.Errorf("decoding JSON body: %w", err)
 	}
 	return req, nil
 }
@@ -739,7 +748,9 @@ func jobRequestFromQuery(r *http.Request, fasta string) (jobRequest, error) {
 
 // handleSubmit implements POST /v1/jobs.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeJobRequest(r)
+	req, err := decodeRequest(r, func(fasta string) (jobRequest, error) {
+		return jobRequestFromQuery(r, fasta)
+	})
 	if err != nil {
 		if tooLarge(w, err) {
 			return
@@ -747,55 +758,61 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Algorithm == "" {
-		req.Algorithm = "mppm"
+	s.submit(w, req.Algorithm, req.Params, req.TimeoutMS, func(algo core.Algorithm, params core.Params, timeout time.Duration) (int, any, error) {
+		subject, err := sequenceFrom(req.Sequence, req.FASTA, req.fastaAlphabet)
+		if err != nil {
+			return 0, nil, err
+		}
+		job, err := s.mgr.Submit(r.Context(), subject, algo, params, timeout)
+		if err != nil {
+			return 0, nil, err
+		}
+		if job.accepted.State == JobDone {
+			return http.StatusOK, job.accepted, nil // cache hit: result inline
+		}
+		return http.StatusAccepted, job.accepted, nil
+	})
+}
+
+// submit runs what POST /v1/jobs and POST /v1/corpus share once the body
+// is decoded: the algorithm (default mppm), the params (validated by
+// Normalize here; the manager normalizes again after applying its memory
+// budget default) and timeout_ms (non-negative, clamped to MaxTimeout).
+// start then builds and submits the work. Its error maps to 429 with
+// Retry-After for backpressure, 503 for shutdown and 400 for the rest.
+func (s *Server) submit(w http.ResponseWriter, algorithm string, pj paramsJSON, timeoutMS int64,
+	start func(core.Algorithm, core.Params, time.Duration) (int, any, error)) {
+	if algorithm == "" {
+		algorithm = "mppm"
 	}
-	algo, err := core.ParseAlgorithm(strings.ToLower(req.Algorithm))
+	algo, err := core.ParseAlgorithm(strings.ToLower(algorithm))
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	subject, err := sequenceFrom(req.Sequence, req.FASTA, req.fastaAlphabet)
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
+	params, err := pj.toParams()
+	if err == nil {
+		_, err = params.Normalize()
 	}
-	params, err := req.Params.toParams()
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "invalid params: %v", err)
 		return
 	}
-	if _, err := params.Normalize(); err != nil {
-		apiError(w, http.StatusBadRequest, "invalid params: %v", err)
-		return
-	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
+	timeout := time.Duration(timeoutMS) * time.Millisecond
 	if timeout < 0 {
 		apiError(w, http.StatusBadRequest, "timeout_ms must be >= 0")
 		return
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
+	timeout = min(timeout, s.cfg.MaxTimeout)
+	status, view, err := start(algo, params, timeout)
+	if s.refuse(w, err) {
+		return
 	}
-	job, err := s.mgr.Submit(r.Context(), subject, algo, params, timeout)
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
-		// Backpressure, not shutdown: 429 with a Retry-After hint so
-		// clients can tell shed from drain (which stays 503).
-		s.rejectBusy(w, err)
-		return
-	case errors.Is(err, ErrShuttingDown):
-		apiError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
+	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	status := http.StatusAccepted
-	if job.State() == JobDone {
-		status = http.StatusOK // cache hit: result inline
-	}
-	writeJSON(w, status, job.Snapshot())
+	writeJSON(w, status, view)
 }
 
 // handleList implements GET /v1/jobs.
@@ -955,12 +972,9 @@ func writeSSE(w io.Writer, ev Event) error {
 }
 
 // handleEvents implements GET /v1/jobs/{id}/events: the job's per-level
-// progress as Server-Sent Events. Levels completed before the client
-// connected are replayed from the job snapshot, then live events stream
-// until the job ends (an "end" event closes the stream) or the client
-// disconnects. Subscribing before snapshotting makes the hand-off
-// lossless; replayed levels arriving again on the live channel are
-// deduplicated by sequence number.
+// progress as Server-Sent Events, until the job ends (an "end" event
+// closes the stream) or the client disconnects. Levels completed before
+// the client connected are replayed from the job snapshot.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.mgr.Get(id)
@@ -968,6 +982,29 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "job %q not found", id)
 		return
 	}
+	s.streamEvents(w, r, id, "level", func() []Event {
+		snap := job.Snapshot()
+		evs := make([]Event, 0, len(snap.Progress)+1)
+		for i, lm := range snap.Progress {
+			evs = append(evs, Event{Type: "level", Job: id, Seq: i + 1, Data: lm})
+		}
+		if snap.State.Terminal() {
+			end := snap
+			end.Result, end.Progress = nil, nil
+			evs = append(evs, Event{Type: "end", Job: id, Seq: len(snap.Progress), Data: end})
+		}
+		return evs
+	})
+}
+
+// streamEvents serves one job's (or corpus job's) events as Server-Sent
+// Events. It subscribes before replay takes its snapshot, which makes the
+// hand-off lossless: replay returns the events the snapshot already shows,
+// ending with "end" when the job is terminal, and a live event of the
+// replayed item type ("level" or "shard") whose Seq was replayed is
+// dropped as a duplicate. The stream closes after an "end" or "shutdown"
+// event, when the subscription is dropped, or when the client disconnects.
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, id, item string, replay func() []Event) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		apiError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
@@ -975,26 +1012,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	sub := s.events.Subscribe(id)
 	defer sub.Close()
-	snap := job.Snapshot()
+	evs := replay()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	seen := 0
-	for i, lm := range snap.Progress {
-		if writeSSE(w, Event{Type: "level", Job: id, Seq: i + 1, Data: lm}) != nil {
+	seen := make(map[int]bool, len(evs))
+	for _, ev := range evs {
+		if writeSSE(w, ev) != nil {
 			return
 		}
-		seen = i + 1
-	}
-	if snap.State.Terminal() {
-		end := snap
-		end.Result, end.Progress = nil, nil
-		writeSSE(w, Event{Type: "end", Job: id, Seq: seen, Data: end})
-		fl.Flush()
-		return
+		if ev.Type == item {
+			seen[ev.Seq] = true
+		}
 	}
 	fl.Flush()
+	if n := len(evs); n > 0 && evs[n-1].Type == "end" {
+		return
+	}
 
 	ctx := r.Context()
 	for {
@@ -1007,11 +1042,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				// reconnects and replays.
 				return
 			}
-			if ev.Type == "level" {
-				if ev.Seq <= seen {
+			if ev.Type == item {
+				if seen[ev.Seq] {
 					continue // already replayed from the snapshot
 				}
-				seen = ev.Seq
+				seen[ev.Seq] = true
 			}
 			if writeSSE(w, ev) != nil {
 				return

@@ -84,11 +84,17 @@ func TestTraceEndToEnd(t *testing.T) {
 	if echoed != reqID {
 		t.Fatalf("X-Request-Id echoed %q, want %q", echoed, reqID)
 	}
-	final := pollJob(t, ts.URL, jobID)
-	if final["state"] != "done" {
-		t.Fatalf("job state = %v", final["state"])
+	// Wait in-process: HTTP polls would each start a newer trace and push
+	// this one out of the limit=10 listing checked below.
+	job, ok := srv.Manager().Get(jobID)
+	if !ok {
+		t.Fatalf("job %s not found", jobID)
 	}
-	if got := final["trace_id"]; got != reqID {
+	final := waitTerminal(t, job)
+	if final.State != JobDone {
+		t.Fatalf("job state = %v", final.State)
+	}
+	if got := final.TraceID; got != reqID {
 		t.Fatalf("job trace_id = %v, want %q", got, reqID)
 	}
 
@@ -112,7 +118,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Errorf("job.persist parent = %q, want job.run %q", p.ParentID, run.SpanID)
 	}
 	levels := byName["mine.level"]
-	wantLevels := len(final["progress"].([]any))
+	wantLevels := len(final.Progress)
 	if len(levels) != wantLevels {
 		t.Errorf("%d mine.level spans, want %d (one per reported level)", len(levels), wantLevels)
 	}
