@@ -35,8 +35,8 @@ func benchLevelFixture(b *testing.B, length, k int, g combinat.Gap, join core.Jo
 	}
 	res := &core.Result{Algorithm: core.AlgoMPP, Params: p, SeqLen: s.Len(), N: 10}
 	r := &runner{s: s, p: p, counter: counter, n: 10, res: res}
-	r.arenas = make([]pil.Arena, 2*r.workers())
-	r.initMem() // budgeting enabled, as in real runs
+	r.acquireScratch() // budgeting enabled, as in real runs
+	b.Cleanup(r.releaseScratch)
 	hat := make([]hatEntry, 0, len(start))
 	for _, cl := range start {
 		hat = append(hat, hatEntry{code: cl.Code, list: cl.List, sup: cl.Sup})

@@ -29,8 +29,10 @@ import (
 // packed uint64 codes (decoded to characters only when a frequent pattern
 // is emitted), candidate generation is a linear merge over code-sorted
 // slices, and every join output is carved from per-worker pil.Arena slabs
-// recycled double-buffered across levels. The scratch slices below are
-// reused from level to level for the same reason.
+// recycled double-buffered across levels. The level scratch is reused
+// from level to level for the same reason, and from run to run: run takes
+// it from a process-wide free list and gives it back, arena slabs
+// included, on every exit path.
 type runner struct {
 	s       *seq.Sequence
 	p       core.Params
@@ -44,7 +46,6 @@ type runner struct {
 	// keyed by explicit character strings instead of uint64 codes.
 	wide bool
 
-	arenas  []pil.Arena   // two per worker: arenas[2*w+parity(level)]
 	joinScr []joinScratch // one per worker: cached suffix-run join state
 
 	// mem accounts the run's retained PIL bytes against p.MemoryBudget:
@@ -53,7 +54,13 @@ type runner struct {
 	mem    *pil.MemTracker
 	ownMem pil.MemTracker
 
-	// Per-level scratch, reused across levels.
+	*levelScratch // held between acquireScratch and releaseScratch
+}
+
+// levelScratch is the memory the level loop reuses from level to level:
+// the arenas the join outputs live in and the per-level slices.
+type levelScratch struct {
+	arenas    []pil.Arena   // two per worker: arenas[2*w+parity(level)]
 	hatBuf    [2][]hatEntry // double-buffered hat storage
 	cands     []candidate
 	joined    []countedList
@@ -65,6 +72,57 @@ type runner struct {
 	sufU      []uint64
 	prefS     []string // character prefix/suffix keys (wide levels)
 	sufS      []string
+}
+
+// scratchFree is the free list of level scratch that finished runs gave
+// back. It is a mutex-guarded stack rather than a sync.Pool: a run takes
+// one object and returns one, and sync.Pool's per-P private slot hides a
+// returned object from a run that starts on another P. Each run returns
+// what it took, so the list never holds more objects than the peak
+// number of concurrent runs.
+var scratchFree struct {
+	sync.Mutex
+	list []*levelScratch
+}
+
+// acquireScratch takes level scratch from the free list (or makes it) and
+// readies two empty arenas per worker, charged to the run's tracker.
+func (r *runner) acquireScratch() {
+	scratchFree.Lock()
+	if n := len(scratchFree.list); n > 0 {
+		r.levelScratch = scratchFree.list[n-1]
+		scratchFree.list[n-1] = nil
+		scratchFree.list = scratchFree.list[:n-1]
+	} else {
+		r.levelScratch = new(levelScratch)
+	}
+	scratchFree.Unlock()
+	r.arenas = sliceFor(r.arenas, 2*r.workers())
+	for i := range r.arenas {
+		r.arenas[i].SetTracker(r.tracker())
+	}
+}
+
+// releaseScratch gives the run's scratch back to the free list: arena
+// slabs go to pil's slab pool, and the references the slices still hold
+// into this run's lists and pattern strings are cleared, so idle scratch
+// pins no memory of the run.
+func (r *runner) releaseScratch() {
+	sc := r.levelScratch
+	r.levelScratch = nil
+	for i := range sc.arenas {
+		sc.arenas[i].Release()
+	}
+	for b := range sc.hatBuf {
+		clear(sc.hatBuf[b][:cap(sc.hatBuf[b])])
+		sc.hatBuf[b] = sc.hatBuf[b][:0]
+	}
+	clear(sc.joined[:cap(sc.joined)])
+	clear(sc.prefS[:cap(sc.prefS)])
+	clear(sc.sufS[:cap(sc.sufS)])
+	scratchFree.Lock()
+	scratchFree.list = append(scratchFree.list, sc)
+	scratchFree.Unlock()
 }
 
 // hatEntry is one pattern of L̂i: its identity (packed code, or chars on
@@ -138,14 +196,6 @@ func (r *runner) tracker() *pil.MemTracker {
 	return r.mem
 }
 
-// initMem wires the runner's memory tracker into its arenas. Must be
-// called after r.arenas is sized and before any level is counted.
-func (r *runner) initMem() {
-	for i := range r.arenas {
-		r.arenas[i].SetTracker(r.tracker())
-	}
-}
-
 // exhausted builds the typed budget-abort error for the given level.
 func (r *runner) exhausted(level int) error {
 	return &core.ResourceExhaustedError{
@@ -212,14 +262,15 @@ func annotateLevelSpan(span *obs.Span, lm core.LevelMetrics) {
 
 // run executes the level loop starting from the given start-level PILs
 // (code-sorted, zero-support patterns absent). It fills r.res.Patterns
-// and r.res.Levels.
+// and r.res.Levels, which hold no PIL, so the level scratch goes back to
+// the free list when run returns, whether the loop finished or aborted.
 func (r *runner) run(start []pil.CodeList) {
 	ctx := r.p.Context()
 	i := r.p.StartLen
 	alpha := r.s.Alphabet()
 	alphaN := int64(alpha.Size())
-	r.arenas = make([]pil.Arena, 2*r.workers())
-	r.initMem()
+	r.acquireScratch()
+	defer r.releaseScratch()
 
 	// Level StartLen: every |Σ|^StartLen combination is a candidate
 	// (built by direct scan, so the candidate count is analytic).

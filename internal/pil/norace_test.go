@@ -1,0 +1,6 @@
+//go:build !race
+
+package pil
+
+// raceEnabled reports a -race build, whose sync.Pool drops puts at random.
+const raceEnabled = false
